@@ -35,12 +35,12 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import tempfile
 from pathlib import Path
 
 from ..config import MachineConfig
 from ..telemetry import metrics, spans
 from ..workloads import Workload
+from .ledger import atomic_write
 
 #: Environment variable overriding the default cache directory.
 CACHE_ENV = "HIDISC_CACHE_DIR"
@@ -171,28 +171,13 @@ class RunCache:
         rather than failing the experiment.
         """
         try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.root,
-                                       suffix=ENTRY_SUFFIX + ".tmp")
-        except OSError:
-            return
-        try:
             with spans.span("cache_store", cat="cache", key=key[:12]):
-                with os.fdopen(fd, "wb") as fh:
-                    pickle.dump(obj, fh, protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp, self.path_for(key))
+                atomic_write(self.path_for(key),
+                             lambda fh: pickle.dump(
+                                 obj, fh, protocol=pickle.HIGHEST_PROTOCOL),
+                             binary=True)
         except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
             return
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
         self.stores += 1
         metrics.inc("cache_stores")
 

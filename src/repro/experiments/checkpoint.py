@@ -28,9 +28,7 @@ number in the payload.
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
-import tempfile
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -44,6 +42,7 @@ from .cache import (
     config_fingerprint,
     workload_fingerprint,
 )
+from .ledger import atomic_write
 
 #: Separator between benchmark and mode in cell file names (benchmark
 #: names are identifiers, so a double underscore cannot collide).
@@ -99,30 +98,15 @@ class SuiteCheckpoint:
         """Atomically persist one completed cell (best-effort, like the
         run cache: an unwritable directory degrades to a no-op)."""
         try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.root,
-                                       suffix=ENTRY_SUFFIX + ".tmp")
-        except OSError:
-            return
-        try:
             with spans.span("checkpoint_store", cat="checkpoint",
                             cell=f"{benchmark}/{mode}"):
-                with os.fdopen(fd, "wb") as fh:
-                    pickle.dump(result, fh,
-                                protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp, self.cell_path(benchmark, mode))
+                atomic_write(self.cell_path(benchmark, mode),
+                             lambda fh: pickle.dump(
+                                 result, fh,
+                                 protocol=pickle.HIGHEST_PROTOCOL),
+                             binary=True)
         except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
             return
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
         self.stores += 1
         metrics.inc("checkpoint_stores")
 

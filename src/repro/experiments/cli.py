@@ -1,7 +1,8 @@
 """Command-line interface: regenerate any table or figure of the paper,
 or profile a single run with the telemetry subsystem.
 
-Installed as the ``hidisc`` console script::
+Installed as the ``hidisc`` console script; every command has its own
+options (``hidisc <command> --help``)::
 
     hidisc table1
     hidisc figure8 --quick
@@ -14,17 +15,14 @@ Installed as the ``hidisc`` console script::
     hidisc trace --quick --bench pointer --out trace.json
     hidisc lifecycle --quick --bench pointer --out run.kanata
     hidisc diff run_a.json run_b.json      # first divergent commit + values
-    hidisc cache stats
-    hidisc cache clear
-    hidisc runs list                       # recent runs from the ledger
-    hidisc runs report                     # latest run + regression check
+    hidisc cache [stats|clear]
+    hidisc runs [list|show|report] [prefix]  # the run ledger
     hidisc bench                           # perf snapshot -> BENCH_<date>.json
+    hidisc fuzz --runs 50 --shrink         # differential fuzzing
     hidisc serve --workers 2               # durable simulation service
     hidisc submit --quick --wait           # queue a suite job, await it
-    hidisc jobs                            # list jobs; 'jobs <id>' inspects
-    hidisc jobs top                        # live fleet status (Ctrl-C quits)
-    hidisc jobs trace <id>                 # stitch one job's Perfetto trace
-    hidisc cancel <job_id>                 # request cancellation
+    hidisc jobs [ID | top | trace ID]      # list, inspect, watch, stitch
+    hidisc cancel ID                       # request cancellation
 
 Suite-family commands and ``faults`` stop gracefully on SIGINT/SIGTERM:
 the first signal finishes and checkpoints the in-flight grid cell, the
@@ -50,6 +48,7 @@ cache and checkpoint traffic) as a Perfetto-loadable timeline.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -57,7 +56,8 @@ import time
 from dataclasses import replace
 
 from ..config import MachineConfig, SamplingPlan, TelemetryConfig
-from ..errors import ConfigError, InterruptedRun
+from ..errors import (BackpressureError, ConfigError, InterruptedRun,
+                      ServiceError)
 from ..telemetry import (
     ChromeTraceSink,
     Heartbeat,
@@ -96,287 +96,568 @@ from .suite import run_suite
 from .table1 import table1
 from .table2 import table2
 
-_COMMANDS = ("table1", "table2", "figure8", "figure9", "figure10", "all",
-             "suite", "stats", "trace", "lifecycle", "diff", "cache",
-             "faults", "bench", "runs", "fuzz", "serve", "submit", "jobs",
-             "cancel")
-
-_CACHE_ACTIONS = ("stats", "clear")
-
-_RUNS_ACTIONS = ("list", "show", "report")
-
-#: Commands that append a ledger record (experiment runs — not the
-#: bookkeeping commands that merely inspect caches/ledgers/payloads).
-_LEDGER_COMMANDS = frozenset(
-    {"table2", "figure8", "figure9", "figure10", "all", "suite",
-     "stats", "trace", "lifecycle", "faults", "fuzz", "serve"}
-)
-
-#: Commands whose long-running grids get graceful SIGINT/SIGTERM
-#: handling: first signal stops at the next cell boundary (everything
-#: completed so far is checkpointed; the ledger records
-#: ``outcome: "interrupted"``), second signal aborts hard.  ``serve``
-#: manages its own interrupt context (it must drain workers first).
-_INTERRUPTIBLE = frozenset(
-    {"table2", "figure8", "figure9", "figure10", "all", "suite", "faults"}
-)
-
 #: lifecycle output defaults per format (when --out is not given).
 _LIFECYCLE_OUT = {"kanata": "hidisc.kanata",
                   "jsonl": "hidisc_lifecycle.jsonl",
                   "chrome": "hidisc_lifecycle.json"}
 
+_SERVICE_OPTIONS = ("service options",
+                    "durable simulation service (repro.service): "
+                    "'hidisc serve' runs the daemon, "
+                    "'submit'/'jobs'/'cancel' are its clients")
+
+_PROFILING_OPTIONS = ("stats/trace/lifecycle options",
+                      "single-run telemetry (repro.telemetry)")
+
+
+def _flag_set(title: str | None = None, description: str | None = None):
+    """A parent parser for one flag set, and where its flags go: a help
+    group when *title* is given (same-titled groups merge in a command)."""
+    parent = argparse.ArgumentParser(add_help=False)
+    group = (parent.add_argument_group(title, description) if title
+             else parent)
+    return parent, group
+
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, each carrying only the flags it reads.
+
+    Every flag is defined once, in a parent parser, and attached to the
+    commands that read it; per-command facts (its handler, whether it
+    appends a ledger record, whether SIGINT/SIGTERM stop it gracefully)
+    ride on the subparser as defaults.
+    """
     parser = argparse.ArgumentParser(
         prog="hidisc",
         description="Reproduce the evaluation of 'HiDISC: A Decoupled "
                     "Architecture for Data-Intensive Applications' "
                     "(IPDPS 2003).",
     )
-    parser.add_argument("command", choices=_COMMANDS,
-                        help="which table/figure to regenerate, 'suite' for "
-                             "the raw benchmark grid, 'stats'/'trace'/"
-                             "'lifecycle' to profile one run, 'diff' to "
-                             "compare two result payloads, 'cache' to "
-                             "manage the run cache, or 'faults' to run a "
-                             "seeded fault-injection campaign")
-    parser.add_argument("cache_action", nargs="?",
-                        help="for 'hidisc cache': 'stats' (default) or "
-                             "'clear'; for 'hidisc runs': 'list' "
-                             "(default), 'show' or 'report'; for "
-                             "'hidisc diff': the first payload path; for "
-                             "'hidisc jobs': a job id, 'top' or 'trace'; "
-                             "for 'hidisc cancel': a job id")
-    parser.add_argument("diff_b", nargs="?", metavar="payload_b",
-                        help="for 'hidisc diff': the second payload path; "
-                             "for 'hidisc runs show|report': a run-id "
-                             "prefix (default: the newest run); for "
-                             "'hidisc jobs trace': the job id (prefixes "
-                             "accepted)")
-    parser.add_argument("--quick", action="store_true",
-                        help="scaled-down inputs (seconds instead of minutes)")
-    parser.add_argument("--seed", type=int, default=2003,
-                        help="workload generator seed (default 2003)")
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="also dump raw results as JSON")
-    parser.add_argument("--no-progress", action="store_true",
-                        help="suppress progress messages on stderr")
-    parser.add_argument("--jobs", type=_non_negative, default=1,
-                        metavar="N",
-                        help="worker processes for the experiment grid "
-                             "(default 1 = serial, 0 = all CPUs)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the persistent compilation cache")
-    parser.add_argument("--cache-dir", metavar="PATH", default=None,
-                        help="run-cache directory (default $HIDISC_CACHE_DIR "
-                             "or ~/.cache/hidisc)")
-    parser.add_argument("--verify", action="store_true",
-                        help="referee every timing run with the "
-                             "co-simulation oracle (commit-stream "
-                             "integrity + functional state diff)")
-    parser.add_argument("--resume", action="store_true",
-                        help="for 'suite'-family commands: load the "
-                             "checkpointed cells of an interrupted run "
-                             "and simulate only the missing ones")
-    parser.add_argument("--max-cycles", type=_positive, default=None,
-                        metavar="N",
-                        help="cycle budget per timing run (default "
-                             f"{MachineConfig().max_cycles}; a run "
-                             "exceeding it raises CycleLimitError)")
-    parser.add_argument("--orch-trace", metavar="PATH", default=None,
-                        help="record host orchestration spans (prepare, "
-                             "pool rounds, cache/checkpoint traffic, "
-                             "per-worker lanes) and write a "
-                             "Perfetto-loadable trace_event JSON here")
-    parser.add_argument("--limit", type=_positive, default=20, metavar="N",
-                        help="for 'hidisc runs list': newest N ledger "
-                             "entries to show (default 20)")
-    injection = parser.add_argument_group(
-        "faults options", "seeded fault-injection campaigns "
-                          "(repro.resilience)")
-    injection.add_argument("--fault-seed", type=int, default=2003,
-                           metavar="SEED",
-                           help="FaultPlan seed (default 2003); the same "
-                                "seed always injects the same faults")
-    injection.add_argument("--fault-count", type=_non_negative, default=8,
-                           metavar="N",
-                           help="number of fault sites to draw "
-                                "(default 8)")
-    injection.add_argument("--fault-benches", metavar="NAMES", default=None,
-                           help="comma-separated benchmark names to "
-                                "campaign over (default: every suite "
-                                "benchmark)")
-    profiling = parser.add_argument_group(
-        "stats/trace/lifecycle options",
-        "single-run telemetry (repro.telemetry)")
-    profiling.add_argument("--bench", default="pointer",
-                           choices=sorted(WORKLOADS_BY_NAME),
-                           help="benchmark to profile (default pointer)")
-    profiling.add_argument("--model", default="hidisc", choices=MODEL_ORDER,
-                           help="machine model to profile (default hidisc)")
-    profiling.add_argument("--out", metavar="PATH", default=None,
-                           help="output file (default hidisc_trace.json for "
-                                "'trace'; for 'lifecycle' it follows the "
-                                "format: hidisc.kanata / "
-                                "hidisc_lifecycle.jsonl / "
-                                "hidisc_lifecycle.json)")
-    profiling.add_argument("--format", dest="trace_format", default=None,
-                           choices=("chrome", "jsonl", "kanata"),
-                           help="output format: Chrome/Perfetto trace_event "
-                                "JSON, JSONL, or (lifecycle only) a Konata "
-                                "pipeline-viewer log (default: chrome for "
-                                "'trace', kanata for 'lifecycle')")
-    profiling.add_argument("--occupancy-interval", type=_non_negative,
-                           default=128, metavar="CYCLES",
-                           help="occupancy sampling period in cycles, "
-                                "0 disables (default 128)")
-    profiling.add_argument("--heartbeat", type=_non_negative, default=0,
-                           metavar="CYCLES",
-                           help="emit a live status line (cycle, IPC, queue "
-                                "depths, host cycles/s) on stderr every N "
-                                "simulated cycles; 0 disables (default)")
-    profiling.add_argument("--lifecycle-limit", type=_non_negative,
-                           default=0, metavar="N",
-                           help="keep only the newest N lifecycle records "
-                                "(ring buffer); 0 keeps all (default)")
-    profiling.add_argument("--top", type=_positive, default=12, metavar="N",
-                           help="rows in the critical-path table "
-                                "(default 12)")
-    defaults = SamplingPlan()
-    sampling = parser.add_argument_group(
-        "sampling options",
-        "SMARTS-style sampled simulation (repro.sim.sampling): "
-        "fast-forward by functional warming, simulate short detailed "
-        "windows, extrapolate cycles with a measured confidence "
-        "interval.  Valid for suite-family commands and 'stats'; "
-        "mutually exclusive with --verify and 'faults'.")
-    sampling.add_argument("--sample", action="store_true",
-                          help="run every timing simulation through the "
-                               "sampled-interval driver (results carry "
-                               "sampled=True plus the exact schedule and "
-                               "error bars)")
-    sampling.add_argument("--sample-interval", type=_positive, default=None,
-                          metavar="N",
-                          help="sampling period in trace positions "
-                               f"(default {defaults.interval_length})")
-    sampling.add_argument("--sample-detail", type=_positive, default=None,
-                          metavar="N",
-                          help="detailed-window length per period "
-                               f"(default {defaults.detail_length})")
-    sampling.add_argument("--sample-warmup", type=_positive, default=None,
-                          metavar="N",
-                          help="detailed warm-up positions before each "
-                               f"window (default {defaults.warmup_length})")
-    sampling.add_argument("--sample-error-budget", type=float, default=None,
-                          metavar="FRAC",
-                          help="relative 95%% CI target on cycles; the "
-                               "driver densifies the schedule (or degrades "
-                               "to exact simulation) until it is met "
-                               f"(default {defaults.error_budget})")
-    sampling.add_argument("--sample-seed", type=int, default=None,
-                          metavar="SEED",
-                          help="schedule-offset RNG seed "
-                               f"(default {defaults.seed})")
-    fuzzing = parser.add_argument_group(
-        "fuzz options", "differential program fuzzing (repro.fuzz)")
-    fuzzing.add_argument("--runs", type=_positive, default=50, metavar="N",
-                         help="number of seeded random programs to draw "
-                              "(default 50); --seed selects the first")
-    fuzzing.add_argument("--fuzz-size", type=_positive, default=24,
-                         metavar="N",
-                         help="approximate top-level statements per "
-                              "generated program (default 24)")
-    fuzzing.add_argument("--shrink", action="store_true",
-                         help="delta-debug each failing program to a "
-                              "minimal repro before reporting it")
-    fuzzing.add_argument("--corpus", metavar="DIR", default=None,
-                         help="write each (shrunk) failing program as a "
-                              "replayable JSON repro into this directory")
-    fuzzing.add_argument("--inject-fault", metavar="NAME", default=None,
-                         help="self-test: deliberately perturb one "
-                              "fast-path dispatch entry (see repro.fuzz."
-                              "harness.FAULTS); the campaign must then "
-                              "FIND divergences — exit 0 iff it does")
-    service = parser.add_argument_group(
-        "service options", "durable simulation service (repro.service): "
-                           "'hidisc serve' runs the daemon, "
-                           "'submit'/'jobs'/'cancel' are its clients")
-    service.add_argument("--host", default="127.0.0.1",
-                         help="serve: interface to bind (default 127.0.0.1)")
-    service.add_argument("--port", type=_non_negative, default=8203,
-                         help="serve: TCP port (default 8203; 0 picks a "
-                              "free port and prints it)")
-    service.add_argument("--url", default=None, metavar="URL",
-                         help="submit/jobs/cancel: service endpoint "
-                              "(default $HIDISC_SERVICE_URL or "
-                              "http://127.0.0.1:8203)")
-    service.add_argument("--workers", type=_non_negative, default=2,
-                         metavar="N",
-                         help="serve: worker processes to supervise "
-                              "(default 2)")
-    service.add_argument("--lease-ttl", type=float, default=30.0,
-                         metavar="SECONDS",
-                         help="serve: job lease time-to-live; a worker "
-                              "silent this long loses its job to the "
-                              "reaper (default 30)")
-    service.add_argument("--max-depth", type=_positive, default=64,
-                         metavar="N",
-                         help="serve: admission control — reject new jobs "
-                              "(HTTP 429) past this many pending "
-                              "(default 64)")
-    service.add_argument("--job-attempts", type=_positive, default=3,
-                         metavar="N",
-                         help="serve: executions (failures + expired "
-                              "leases) before a job is quarantined as "
-                              "poison (default 3)")
-    service.add_argument("--retry-backoff", type=float, default=0.5,
-                         metavar="SECONDS",
-                         help="serve: base delay before retrying a failed "
-                              "job, doubling per attempt (default 0.5)")
-    service.add_argument("--drain-grace", type=float, default=30.0,
-                         metavar="SECONDS",
-                         help="serve: how long a SIGTERM'd worker may take "
-                              "to checkpoint and release its job before "
-                              "being killed (default 30)")
-    service.add_argument("--benchmarks", metavar="NAMES", default=None,
-                         help="submit: comma-separated benchmark names "
-                              "(default: the full suite for the chosen "
-                              "scale)")
-    service.add_argument("--modes", metavar="MODELS", default=None,
-                         help="submit: comma-separated machine models "
-                              f"(default: all of {', '.join(MODEL_ORDER)})")
-    service.add_argument("--cell-delay", type=float, default=0.0,
-                         metavar="SECONDS",
-                         help="submit: sleep after each freshly computed "
-                              "grid cell (testing hook for kill-timing; "
-                              "default 0)")
-    service.add_argument("--follow", action="store_true",
-                         help="submit/jobs <id>: stream the job's JSONL "
-                              "events until it reaches a terminal state")
-    service.add_argument("--wait", action="store_true",
-                         help="submit: block until the job is terminal; "
-                              "exit 0 iff it completed")
-    service.add_argument("--interval", type=float, default=2.0,
-                         metavar="SECONDS",
-                         help="jobs top: refresh period (default 2.0)")
-    service.add_argument("--iterations", type=_non_negative, default=0,
-                         metavar="N",
-                         help="jobs top: stop after N refreshes "
-                              "(default 0 = until Ctrl-C)")
-    bench = parser.add_argument_group(
-        "bench options", "simulator performance snapshots "
-                         "(benchmarks/record.py)")
-    bench.add_argument("--bench-filter", metavar="EXPR", default=None,
+    commands = parser.add_subparsers(
+        dest="command", required=True, metavar="command",
+        help="run 'hidisc <command> --help' for its options")
+
+    common, flags = _flag_set()
+    flags.add_argument("--json", metavar="PATH", default=None,
+                       help="also dump raw results as JSON")
+    flags.add_argument("--no-progress", action="store_true",
+                       help="suppress progress messages on stderr")
+    flags.add_argument("--orch-trace", metavar="PATH", default=None,
+                       help="record host orchestration spans (prepare, "
+                            "pool rounds, cache/checkpoint traffic, "
+                            "per-worker lanes) and write a "
+                            "Perfetto-loadable trace_event JSON here")
+    store, flags = _flag_set()
+    flags.add_argument("--cache-dir", metavar="PATH", default=None,
+                       help="run-cache directory (default $HIDISC_CACHE_DIR "
+                            "or ~/.cache/hidisc)")
+    simulate, flags = _flag_set()
+    flags.add_argument("--no-cache", action="store_true",
+                       help="disable the persistent compilation cache")
+    flags.add_argument("--max-cycles", type=_positive, default=None,
+                       metavar="N",
+                       help="cycle budget per timing run (default "
+                            f"{MachineConfig().max_cycles}; a run "
+                            "exceeding it raises CycleLimitError)")
+    seed, flags = _flag_set()
+    flags.add_argument("--seed", type=int, default=2003,
+                       help="workload generator seed (default 2003)")
+    quick, flags = _flag_set()
+    flags.add_argument("--quick", action="store_true",
+                       help="scaled-down inputs (seconds instead of minutes)")
+    grid, flags = _flag_set()
+    flags.add_argument("--jobs", type=_non_negative, default=1, metavar="N",
+                       help="worker processes for the experiment grid "
+                            "(default 1 = serial, 0 = all CPUs)")
+    resume, flags = _flag_set()
+    flags.add_argument("--resume", action="store_true",
+                       help="for 'suite'-family commands: load the "
+                            "checkpointed cells of an interrupted run "
+                            "and simulate only the missing ones")
+
+    def oracle_and_sampling(*, verify: bool, sample: bool):
+        """--verify and/or --sample, mutually exclusive: the
+        co-simulation oracle needs the full commit stream."""
+        parent, _ = _flag_set()
+        exclusive = parent.add_mutually_exclusive_group()
+        if verify:
+            exclusive.add_argument(
+                "--verify", action="store_true",
+                help="referee every timing run with the co-simulation "
+                     "oracle (commit-stream integrity + functional state "
+                     "diff)")
+        if not sample:
+            return parent
+        defaults = SamplingPlan()
+        exclusive.add_argument(
+            "--sample", action="store_true",
+            help="run every timing simulation through the sampled-"
+                 "interval driver (results carry sampled=True plus the "
+                 "exact schedule and error bars)")
+        tuning = parent.add_argument_group(
+            "sampling options",
+            "SMARTS-style sampled simulation (repro.sim.sampling): "
+            "fast-forward by functional warming, simulate short detailed "
+            "windows, extrapolate cycles with a measured confidence "
+            "interval.  Valid for suite-family commands and 'stats'; "
+            "mutually exclusive with --verify and 'faults'.")
+        tuning.add_argument("--sample-interval", type=_positive,
+                            default=None, metavar="N",
+                            help="sampling period in trace positions "
+                                 f"(default {defaults.interval_length})")
+        tuning.add_argument("--sample-detail", type=_positive, default=None,
+                            metavar="N",
+                            help="detailed-window length per period "
+                                 f"(default {defaults.detail_length})")
+        tuning.add_argument("--sample-warmup", type=_positive, default=None,
+                            metavar="N",
+                            help="detailed warm-up positions before each "
+                                 "window (default "
+                                 f"{defaults.warmup_length})")
+        tuning.add_argument("--sample-error-budget", type=float,
+                            default=None, metavar="FRAC",
+                            help="relative 95%% CI target on cycles; the "
+                                 "driver densifies the schedule (or "
+                                 "degrades to exact simulation) until it "
+                                 "is met (default "
+                                 f"{defaults.error_budget})")
+        tuning.add_argument("--sample-seed", type=int, default=None,
+                            metavar="SEED",
+                            help="schedule-offset RNG seed "
+                                 f"(default {defaults.seed})")
+        return parent
+
+    verified = oracle_and_sampling(verify=True, sample=False)
+    sampled = oracle_and_sampling(verify=False, sample=True)
+    verified_or_sampled = oracle_and_sampling(verify=True, sample=True)
+
+    profiling, flags = _flag_set(*_PROFILING_OPTIONS)
+    flags.add_argument("--bench", default="pointer",
+                       choices=sorted(WORKLOADS_BY_NAME),
+                       help="benchmark to profile (default pointer)")
+    flags.add_argument("--model", default="hidisc", choices=MODEL_ORDER,
+                       help="machine model to profile (default hidisc)")
+    flags.add_argument("--occupancy-interval", type=_non_negative,
+                       default=128, metavar="CYCLES",
+                       help="occupancy sampling period in cycles, "
+                            "0 disables (default 128)")
+    flags.add_argument("--heartbeat", type=_non_negative, default=0,
+                       metavar="CYCLES",
+                       help="emit a live status line (cycle, IPC, queue "
+                            "depths, host cycles/s) on stderr every N "
+                            "simulated cycles; 0 disables (default)")
+    lifecycle_only, flags = _flag_set(*_PROFILING_OPTIONS)
+    flags.add_argument("--lifecycle-limit", type=_non_negative,
+                       default=0, metavar="N",
+                       help="keep only the newest N lifecycle records "
+                            "(ring buffer); 0 keeps all (default)")
+    flags.add_argument("--top", type=_positive, default=12, metavar="N",
+                       help="rows in the critical-path table "
+                            "(default 12)")
+    out, flags = _flag_set()
+    flags.add_argument("--out", metavar="PATH", default=None,
+                       help="output file (default hidisc_trace.json for "
+                            "'trace'; for 'lifecycle' it follows the "
+                            "format: hidisc.kanata / "
+                            "hidisc_lifecycle.jsonl / "
+                            "hidisc_lifecycle.json)")
+
+    faults, flags = _flag_set("faults options",
+                              "seeded fault-injection campaigns "
+                              "(repro.resilience)")
+    flags.add_argument("--fault-seed", type=int, default=2003,
+                       metavar="SEED",
+                       help="FaultPlan seed (default 2003); the same "
+                            "seed always injects the same faults")
+    flags.add_argument("--fault-count", type=_non_negative, default=8,
+                       metavar="N",
+                       help="number of fault sites to draw (default 8)")
+    flags.add_argument("--fault-benches", metavar="NAMES", default=None,
+                       help="comma-separated benchmark names to "
+                            "campaign over (default: every suite "
+                            "benchmark)")
+    fuzzing, flags = _flag_set("fuzz options",
+                               "differential program fuzzing (repro.fuzz)")
+    flags.add_argument("--runs", type=_positive, default=50, metavar="N",
+                       help="number of seeded random programs to draw "
+                            "(default 50); --seed selects the first")
+    flags.add_argument("--fuzz-size", type=_positive, default=24,
+                       metavar="N",
+                       help="approximate top-level statements per "
+                            "generated program (default 24)")
+    flags.add_argument("--shrink", action="store_true",
+                       help="delta-debug each failing program to a "
+                            "minimal repro before reporting it")
+    flags.add_argument("--corpus", metavar="DIR", default=None,
+                       help="write each (shrunk) failing program as a "
+                            "replayable JSON repro into this directory")
+    flags.add_argument("--inject-fault", metavar="NAME", default=None,
+                       help="self-test: deliberately perturb one "
+                            "fast-path dispatch entry (see repro.fuzz."
+                            "harness.FAULTS); the campaign must then "
+                            "FIND divergences — exit 0 iff it does")
+
+    daemon, flags = _flag_set(*_SERVICE_OPTIONS)
+    flags.add_argument("--host", default="127.0.0.1",
+                       help="serve: interface to bind (default 127.0.0.1)")
+    flags.add_argument("--port", type=_non_negative, default=8203,
+                       help="serve: TCP port (default 8203; 0 picks a "
+                            "free port and prints it)")
+    flags.add_argument("--workers", type=_non_negative, default=2,
+                       metavar="N",
+                       help="serve: worker processes to supervise "
+                            "(default 2)")
+    flags.add_argument("--lease-ttl", type=float, default=30.0,
+                       metavar="SECONDS",
+                       help="serve: job lease time-to-live; a worker "
+                            "silent this long loses its job to the "
+                            "reaper (default 30)")
+    flags.add_argument("--max-depth", type=_positive, default=64,
+                       metavar="N",
+                       help="serve: admission control — reject new jobs "
+                            "(HTTP 429) past this many pending "
+                            "(default 64)")
+    flags.add_argument("--job-attempts", type=_positive, default=3,
+                       metavar="N",
+                       help="serve: executions (failures + expired "
+                            "leases) before a job is quarantined as "
+                            "poison (default 3)")
+    flags.add_argument("--retry-backoff", type=float, default=0.5,
+                       metavar="SECONDS",
+                       help="serve: base delay before retrying a failed "
+                            "job, doubling per attempt (default 0.5)")
+    flags.add_argument("--drain-grace", type=float, default=30.0,
+                       metavar="SECONDS",
+                       help="serve: how long a SIGTERM'd worker may take "
+                            "to checkpoint and release its job before "
+                            "being killed (default 30)")
+    client, flags = _flag_set(*_SERVICE_OPTIONS)
+    flags.add_argument("--url", default=None, metavar="URL",
+                       help="submit/jobs/cancel: service endpoint "
+                            "(default $HIDISC_SERVICE_URL or "
+                            "http://127.0.0.1:8203)")
+    follow, flags = _flag_set(*_SERVICE_OPTIONS)
+    flags.add_argument("--follow", action="store_true",
+                       help="submit/jobs <id>: stream the job's JSONL "
+                            "events until it reaches a terminal state")
+    submission, flags = _flag_set(*_SERVICE_OPTIONS)
+    flags.add_argument("--benchmarks", metavar="NAMES", default=None,
+                       help="submit: comma-separated benchmark names "
+                            "(default: the full suite for the chosen "
+                            "scale)")
+    flags.add_argument("--modes", metavar="MODELS", default=None,
+                       help="submit: comma-separated machine models "
+                            f"(default: all of {', '.join(MODEL_ORDER)})")
+    flags.add_argument("--cell-delay", type=float, default=0.0,
+                       metavar="SECONDS",
+                       help="submit: sleep after each freshly computed "
+                            "grid cell (testing hook for kill-timing; "
+                            "default 0)")
+    flags.add_argument("--wait", action="store_true",
+                       help="submit: block until the job is terminal; "
+                            "exit 0 iff it completed")
+    top, flags = _flag_set(*_SERVICE_OPTIONS)
+    flags.add_argument("--interval", type=float, default=2.0,
+                       metavar="SECONDS",
+                       help="jobs top: refresh period (default 2.0)")
+    flags.add_argument("--iterations", type=_non_negative, default=0,
+                       metavar="N",
+                       help="jobs top: stop after N refreshes "
+                            "(default 0 = until Ctrl-C)")
+
+    bench, flags = _flag_set("bench options",
+                             "simulator performance snapshots "
+                             "(benchmarks/record.py)")
+    flags.add_argument("--bench-filter", metavar="EXPR", default=None,
                        help="pytest -k filter selecting benchmark "
                             "scenarios (default: all)")
-    bench.add_argument("--bench-dir", metavar="DIR", default=None,
+    flags.add_argument("--bench-dir", metavar="DIR", default=None,
                        help="directory for the BENCH_<date>.json snapshot "
                             "(default: repository root)")
+
+    def command(name, handler, *flag_sets, help, ledger=False,
+                interruptible=False):
+        """Add one command.  *ledger*: it appends a run-ledger record
+        (experiment runs, not the bookkeeping commands that inspect
+        caches, ledgers or payloads).  *interruptible*: the first
+        SIGINT/SIGTERM stops it at the next cell boundary with
+        everything completed so far checkpointed; ``serve`` manages its
+        own interrupt context (it must drain workers first)."""
+        cmd = commands.add_parser(name, parents=[common, *flag_sets],
+                                  help=help, description=help)
+        cmd.set_defaults(handler=handler, ledger=ledger,
+                         interruptible=interruptible)
+        return cmd
+
+    experiment = (store, simulate, seed, quick)
+    command("table1", _run_table1,
+            help="Table 1: the simulation parameters")
+    for name, what in (("table2", "Table 2: mean speed-up per model"),
+                       ("figure8", "Figure 8: speed-up over the baseline"),
+                       ("figure9", "Figure 9: L1 demand-miss rate"),
+                       ("all", "every table and figure"),
+                       ("suite", "the raw benchmark x model grid")):
+        command(name, _run_grid, *experiment, grid, resume,
+                verified_or_sampled, help=what, ledger=True,
+                interruptible=True)
+    command("figure10", _run_grid, *experiment, grid, sampled,
+            help="Figure 10: IPC across (L2, memory) latencies",
+            ledger=True, interruptible=True)
+    command("stats", _run_stats, *experiment, profiling, verified_or_sampled,
+            help="profile one run: CPI stacks, loss of decoupling",
+            ledger=True)
+    trace = command("trace", _run_trace, *experiment, profiling, verified,
+                    out, help="profile one run into an event trace",
+                    ledger=True)
+    lifecycle = command("lifecycle", _run_lifecycle, *experiment, profiling,
+                        lifecycle_only, verified, out, ledger=True,
+                        help="trace each instruction's pipeline stages")
+    for cmd, formats in ((trace, ("chrome", "jsonl")),
+                         (lifecycle, ("chrome", "jsonl", "kanata"))):
+        cmd.add_argument("--format", dest="trace_format", default=None,
+                         choices=formats,
+                         help="output format: Chrome/Perfetto trace_event "
+                              "JSON, JSONL, or (lifecycle only) a Konata "
+                              "pipeline-viewer log (default: chrome for "
+                              "'trace', kanata for 'lifecycle')")
+    diff = command("diff", _run_diff, help="compare two result payloads")
+    diff.add_argument("payload_a", help="the first payload path")
+    diff.add_argument("payload_b", help="the second payload path")
+    cache = command("cache", _run_cache, store,
+                    help="inspect or clear the run cache")
+    cache.add_argument("action", nargs="?", default="stats",
+                       choices=("stats", "clear"),
+                       help="'stats' (default) or 'clear'")
+    command("faults", _run_faults, *experiment, faults, ledger=True,
+            interruptible=True, help="run a seeded fault-injection campaign")
+    command("bench", _run_bench, bench,
+            help="record a simulator performance snapshot")
+    runs = command("runs", _run_runs, store, help="render the run ledger")
+    runs.add_argument("action", nargs="?", default="list",
+                      choices=("list", "show", "report"),
+                      help="'list' (default), 'show' or 'report'")
+    runs.add_argument("prefix", nargs="?",
+                      help="for 'show'/'report': a run-id prefix "
+                           "(default: the newest run)")
+    runs.add_argument("--limit", type=_positive, default=20, metavar="N",
+                      help="for 'hidisc runs list': newest N ledger "
+                           "entries to show (default 20)")
+    command("fuzz", _run_fuzz, store, simulate, seed, fuzzing, ledger=True,
+            help="run a differential program-fuzzing campaign")
+    command("serve", _run_serve, store, daemon, ledger=True,
+            help="run the durable simulation service")
+    command("submit", _run_submit, seed, quick, verified, client, follow,
+            submission, help="queue a suite job on the service")
+    jobs = command("jobs", _run_jobs, store, client, follow, top, out,
+                   help="list, inspect, watch or trace service jobs")
+    jobs.add_argument("job", nargs="?", metavar="ID|top|trace",
+                      help="a job id to inspect, 'top' or 'trace' "
+                           "(default: list every job)")
+    jobs.add_argument("trace_job", nargs="?", metavar="ID",
+                      help="for 'jobs trace': the job id (prefixes "
+                           "accepted)")
+    cancel = command("cancel", _run_cancel, client,
+                     help="request cancellation of a service job")
+    cancel.add_argument("job_id", metavar="ID", help="the job to cancel")
     return parser
 
 
-def _run_bench(args, payload: dict) -> int:
+#: The --sample-* tuning flags and the SamplingPlan fields they override.
+_SAMPLE_TUNING = (
+    ("sample_interval", "interval_length"),
+    ("sample_detail", "detail_length"),
+    ("sample_warmup", "warmup_length"),
+    ("sample_error_budget", "error_budget"),
+    ("sample_seed", "seed"),
+)
+
+
+def _sampling_plan(args) -> SamplingPlan | None:
+    """The SamplingPlan the flags describe, or None when --sample is off
+    (or the command has no sampling options).
+
+    ``SamplingPlan.__post_init__`` validates the combination (positive
+    lengths, detail + warmup fitting inside the interval, budget in
+    (0, 1)), so nonsense flag combinations fail at parse time, not three
+    benchmarks into a grid.
+    """
+    if not getattr(args, "sample", False):
+        return None
+    overrides = {field: getattr(args, attr)
+                 for attr, field in _SAMPLE_TUNING
+                 if getattr(args, attr) is not None}
+    return SamplingPlan(**overrides)
+
+
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return value
+
+
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
+def _check_values(parser: argparse.ArgumentParser, args) -> None:
+    """The checks argparse cannot express: which positionals combine,
+    and whether the sampling flags describe a valid plan."""
+    if (args.command == "runs" and args.action == "list"
+            and args.prefix is not None):
+        parser.error(f"unexpected argument {args.prefix!r} after "
+                     f"'runs list' (run ids select 'show'/'report')")
+    if args.command == "jobs" and (
+            (args.job == "trace") != (args.trace_job is not None)):
+        parser.error("expected: hidisc jobs [ID | top | trace ID]")
+    tuning = [f"--{attr.replace('_', '-')}" for attr, _ in _SAMPLE_TUNING
+              if getattr(args, attr, None) is not None]
+    if tuning and not args.sample:
+        noun = "makes" if len(tuning) == 1 else "make"
+        parser.error(f"{', '.join(tuning)} only {noun} sense together "
+                     f"with --sample")
+    try:
+        _sampling_plan(args)
+    except ConfigError as exc:
+        parser.error(f"invalid sampling plan: {exc}")
+
+
+def _profile_single(args, config: MachineConfig, progress,
+                    telemetry: Telemetry, cache: RunCache | None):
+    """Shared stats/trace/lifecycle path: compile one benchmark, run one
+    model."""
+    workload = get_workload(args.bench, quick=args.quick, seed=args.seed)
+    if progress:
+        progress(f"preparing {workload.name} ...")
+    compiled = prepare_cached(workload, config, cache)
+    if progress:
+        progress(f"  compiled in {compiled.prepare_seconds:.1f}s "
+                 f"({compiled.work} dynamic instructions); "
+                 f"simulating {args.model} ...")
+    return run_model(compiled, config, args.model, telemetry=telemetry,
+                     verify=args.verify, sampling=_sampling_plan(args))
+
+
+# ----------------------------------------------------------------------
+# Command handlers.  Each takes the parsed *args*, the MachineConfig, the
+# progress callback (None with --no-progress), the RunCache at --cache-dir
+# (None with --no-cache) and the *payload* dict that --json writes; it
+# prints its report and returns the exit code.
+
+
+def _run_table1(args, config, progress, cache, payload) -> int:
+    print("Table 1: Simulation parameters")
+    print(table1(config))
+    payload["table1"] = [list(row) for row in config.describe()]
+    return 0
+
+
+def _run_grid(args, config, progress, cache, payload) -> int:
+    """table2, figure8/9/10, all and suite: simulate the benchmark grid
+    (figure10: the latency sweep) and render the command's views."""
+    compiled = None
+    if args.command != "figure10":
+        suite = run_suite(config, quick=args.quick, seed=args.seed,
+                          progress=progress, jobs=args.jobs, cache=cache,
+                          verify=args.verify, resume=args.resume,
+                          sampling=_sampling_plan(args))
+        payload["suite"] = suite.to_payload()
+        if args.command == "suite":
+            for bench in suite.benchmarks.values():
+                for result in bench.results.values():
+                    label = sampling_label(result)
+                    suffix = f"  [{label}]" if label != "full" else ""
+                    print(result.summary() + suffix)
+            print(f"\nsuite of {len(suite.benchmarks)} benchmarks in "
+                  f"{suite.elapsed_seconds:.1f}s "
+                  f"(mean HiDISC speedup "
+                  f"{suite.mean_speedup('hidisc'):.3f})")
+        if args.command in ("figure8", "all"):
+            print(figure8(suite).render())
+            print()
+        if args.command in ("table2", "all"):
+            print(table2(suite).render())
+            print()
+        if args.command in ("figure9", "all"):
+            print(figure9(suite).render())
+            print()
+        compiled = {name: bench.compiled
+                    for name, bench in suite.benchmarks.items()}
+
+    if args.command in ("figure10", "all"):
+        fig10 = figure10(config, quick=args.quick, seed=args.seed,
+                         progress=progress, compiled=compiled,
+                         jobs=args.jobs, cache=cache,
+                         sampling=_sampling_plan(args))
+        payload["figure10"] = {
+            "latencies": list(fig10.latencies),
+            "ipc": fig10.ipc,
+        }
+        print(fig10.render())
+
+    if args.command == "all":
+        print("\nTable 1: Simulation parameters")
+        print(table1(config))
+    return 0
+
+
+def _run_stats(args, config, progress, cache, payload) -> int:
+    telemetry = Telemetry.from_config(
+        TelemetryConfig(cpi=True, sample_interval=args.occupancy_interval,
+                        heartbeat_interval=args.heartbeat)
+    )
+    result = _profile_single(args, config, progress, telemetry, cache)
+    print(render_run_stats(result))
+    payload["stats"] = _stats_payload(result, telemetry)
+    return 0
+
+
+def _run_trace(args, config, progress, cache, payload) -> int:
+    fmt = args.trace_format or "chrome"
+    out = args.out or "hidisc_trace.json"
+    telemetry = Telemetry.from_config(
+        TelemetryConfig(cpi=True, sample_interval=args.occupancy_interval,
+                        trace_format=fmt,
+                        heartbeat_interval=args.heartbeat),
+        trace_path=out,
+    )
+    result = _profile_single(args, config, progress, telemetry, cache)
+    telemetry.close()
+    print(render_run_stats(result))
+    count = getattr(telemetry.sink, "event_count", None)
+    suffix = f" ({count} events)" if count is not None else ""
+    hint = (" — open in https://ui.perfetto.dev or chrome://tracing"
+            if fmt == "chrome" else "")
+    print(f"\ntrace written to {out}{suffix}{hint}")
+    payload["trace"] = {"path": str(out),
+                        "format": fmt,
+                        "events": count}
+    payload["stats"] = _stats_payload(result, telemetry)
+    return 0
+
+
+def _run_cache(args, config, progress, cache, payload) -> int:
+    if args.action == "clear":
+        removed = cache.clear()
+        print(f"cache cleared: {removed} entries removed from "
+              f"{cache.root}")
+        payload["cache"] = {"cleared": removed, "root": str(cache.root)}
+        return 0
+    stats = cache.stats()
+    print(f"cache at {stats['root']}: {stats['entries']} entries, "
+          f"{stats['total_bytes']} bytes; suite checkpoints: "
+          f"{stats['suite_cells']} cells, "
+          f"{stats['suite_bytes']} bytes; service spool: "
+          f"{stats['service_files']} files, "
+          f"{stats['service_bytes']} bytes")
+    payload["cache"] = stats
+    return 0
+
+
+def _run_bench(args, config, progress, cache, payload) -> int:
     """The 'bench' command: run the pytest-benchmark suite and append a
     BENCH_<date>.json snapshot (see benchmarks/record.py)."""
     import importlib.util
@@ -408,68 +689,7 @@ def _run_bench(args, payload: dict) -> int:
     return 0
 
 
-#: Commands that accept --sample (grid/sweep runs plus single-run stats).
-_SAMPLED_COMMANDS = frozenset(
-    {"table2", "figure8", "figure9", "figure10", "all", "suite", "stats"}
-)
-
-#: The --sample-* tuning flags and the SamplingPlan fields they override.
-_SAMPLE_TUNING = (
-    ("sample_interval", "interval_length"),
-    ("sample_detail", "detail_length"),
-    ("sample_warmup", "warmup_length"),
-    ("sample_error_budget", "error_budget"),
-    ("sample_seed", "seed"),
-)
-
-
-def _sampling_plan(args) -> SamplingPlan | None:
-    """The SamplingPlan the flags describe, or None when --sample is off.
-
-    ``SamplingPlan.__post_init__`` validates the combination (positive
-    lengths, detail + warmup fitting inside the interval, budget in
-    (0, 1)), so nonsense flag combinations fail at parse time, not three
-    benchmarks into a grid.
-    """
-    if not args.sample:
-        return None
-    overrides = {field: getattr(args, attr)
-                 for attr, field in _SAMPLE_TUNING
-                 if getattr(args, attr) is not None}
-    return SamplingPlan(**overrides)
-
-
-def _non_negative(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
-
-
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
-def _profile_single(args, config: MachineConfig, progress,
-                    telemetry: Telemetry, cache: RunCache | None):
-    """Shared stats/trace path: compile one benchmark, run one model."""
-    workload = get_workload(args.bench, quick=args.quick, seed=args.seed)
-    if progress:
-        progress(f"preparing {workload.name} ...")
-    compiled = prepare_cached(workload, config, cache)
-    if progress:
-        progress(f"  compiled in {compiled.prepare_seconds:.1f}s "
-                 f"({compiled.work} dynamic instructions); "
-                 f"simulating {args.model} ...")
-    return run_model(compiled, config, args.model, telemetry=telemetry,
-                     verify=args.verify, sampling=_sampling_plan(args))
-
-
-def _run_faults(args, config: MachineConfig, progress,
-                cache: RunCache | None, payload: dict) -> int:
+def _run_faults(args, config, progress, cache, payload) -> int:
     """The 'faults' command: a seeded campaign over benchmarks x models.
 
     Returns the process exit code: 0 when every run degraded gracefully
@@ -522,7 +742,7 @@ def _run_faults(args, config: MachineConfig, progress,
     return 0 if graceful else 1
 
 
-def _run_fuzz(args, config: MachineConfig, progress, payload: dict) -> int:
+def _run_fuzz(args, config, progress, cache, payload) -> int:
     """The 'fuzz' command: a differential fuzzing campaign.
 
     Exit code semantics flip with --inject-fault: a clean toolchain run
@@ -567,8 +787,7 @@ def _run_fuzz(args, config: MachineConfig, progress, payload: dict) -> int:
     return 0 if not found else 1
 
 
-def _run_lifecycle(args, config: MachineConfig, progress,
-                   cache: RunCache | None, payload: dict) -> int:
+def _run_lifecycle(args, config, progress, cache, payload) -> int:
     """The 'lifecycle' command: per-instruction stage tracing + export.
 
     Runs one benchmark/model with a :class:`LifecycleCollector`, writes
@@ -623,13 +842,13 @@ def _run_lifecycle(args, config: MachineConfig, progress,
     return 0
 
 
-def _run_diff(args, payload: dict) -> int:
+def _run_diff(args, config, progress, cache, payload) -> int:
     """The 'diff' command: compare two run/suite JSON payloads.
 
     Returns 0 when the payloads are identical (modulo wall-clock keys),
     1 when they diverge — so CI can gate on it directly.
     """
-    path_a, path_b = args.cache_action, args.diff_b
+    path_a, path_b = args.payload_a, args.payload_b
     a = load_payload(path_a)
     b = load_payload(path_b)
     report = diff_payloads(a, b)
@@ -639,26 +858,26 @@ def _run_diff(args, payload: dict) -> int:
     return 0 if report["identical"] else 1
 
 
-def _run_runs(args, payload: dict) -> int:
+def _run_runs(args, config, progress, cache, payload) -> int:
     """The 'runs' command: render the persistent run ledger.
 
     ``list`` shows the newest entries, ``show`` dumps one record as JSON,
     ``report`` renders its metrics/span digest plus a regression check
     against the most recent earlier run of the same command.
     """
-    ledger = RunLedger(ledger_path(RunCache(args.cache_dir).root))
-    action = args.cache_action or "list"
+    ledger = RunLedger(ledger_path(cache.root))
+    action = args.action
     if action == "list":
         entries = ledger.entries(limit=args.limit)
         print(f"ledger at {ledger.path}:")
         print(render_runs_list(entries))
         payload["runs"] = entries
         return 0
-    if args.diff_b:
-        entry = ledger.find(args.diff_b)
+    if args.prefix is not None:
+        entry = ledger.find(args.prefix)
         if entry is None:
             print(f"hidisc runs {action}: no ledger entry matching "
-                  f"{args.diff_b!r} in {ledger.path}", file=sys.stderr)
+                  f"{args.prefix!r} in {ledger.path}", file=sys.stderr)
             return 2
     else:
         newest = ledger.entries(limit=1)
@@ -684,11 +903,6 @@ def _run_runs(args, payload: dict) -> int:
     return 0
 
 
-def _service_url(args) -> str:
-    return (args.url or os.environ.get("HIDISC_SERVICE_URL")
-            or "http://127.0.0.1:8203")
-
-
 def _split_names(text: str | None) -> list[str] | None:
     if text is None:
         return None
@@ -710,7 +924,7 @@ def _submit_spec(args) -> dict:
     return spec
 
 
-def _run_serve(args, progress, payload: dict) -> int:
+def _run_serve(args, config, progress, cache, payload) -> int:
     """The 'serve' command: run the durable simulation service daemon.
 
     SIGTERM/SIGINT drains gracefully: workers finish/checkpoint their
@@ -720,7 +934,7 @@ def _run_serve(args, progress, payload: dict) -> int:
     """
     from ..service import SERVICE_DIR, ServiceServer
 
-    root = RunCache(args.cache_dir).root / SERVICE_DIR
+    root = cache.root / SERVICE_DIR
     server = ServiceServer(
         root, host=args.host, port=args.port, workers=args.workers,
         lease_ttl=args.lease_ttl, max_depth=args.max_depth,
@@ -741,26 +955,22 @@ def _event_line(event: dict) -> str:
                                                   else "")
 
 
-def _run_jobs_trace(args, payload: dict) -> int:
-    """'jobs trace <id>': stitch one job's cross-process Perfetto trace.
+def _run_jobs_trace(args, cache: RunCache, payload: dict) -> int:
+    """'jobs trace <id>': stitch one job's cross-process Perfetto trace
+    (an unknown id raises ServiceError, which :func:`_run_jobs` maps).
 
     Reads the spool directly (job traces are about durable history, so
     no running daemon is required — the same cache dir the service used
     is enough) and writes a single trace with client, queue and worker
     lanes, plus a span digest on stdout.
     """
-    from ..errors import ServiceError
     from ..service import SERVICE_DIR, JobQueue, resolve_job_id, \
         stitch_job_trace
 
-    queue = JobQueue(RunCache(args.cache_dir).root / SERVICE_DIR)
+    queue = JobQueue(cache.root / SERVICE_DIR)
     out = args.out or "hidisc_job_trace.json"
-    try:
-        job_id = resolve_job_id(queue, args.diff_b)
-        records, lane_names = stitch_job_trace(queue, job_id)
-    except ServiceError as exc:
-        print(f"hidisc jobs trace: {exc}", file=sys.stderr)
-        return 2
+    job_id = resolve_job_id(queue, args.trace_job)
+    records, lane_names = stitch_job_trace(queue, job_id)
     count = spans.write_orchestration_trace(records, out,
                                             lane_names=lane_names)
     digest = spans.summarize(records)
@@ -777,83 +987,109 @@ def _run_jobs_trace(args, payload: dict) -> int:
     return 0
 
 
-def _run_service_client(args, payload: dict) -> int:
-    """'submit', 'jobs' and 'cancel': thin clients for a running daemon."""
-    from ..errors import BackpressureError, ServiceError
-    from ..service import ServiceClient, run_top
+def _service_client(run):
+    """Wrap a service-client handler: a full queue exits 75 (EX_TEMPFAIL:
+    retry after the backlog drains), any other service error exits 2."""
+    @functools.wraps(run)
+    def handler(args, *rest) -> int:
+        try:
+            return run(args, *rest)
+        except ServiceError as exc:
+            print(f"hidisc {args.command}: {exc}", file=sys.stderr)
+            return 75 if isinstance(exc, BackpressureError) else 2
+    return handler
 
-    client = ServiceClient(_service_url(args))
-    try:
-        if args.command == "cancel":
-            response = client.cancel(args.cache_action)
-            print(f"job {response['job_id']}: cancellation requested "
-                  f"(state: {response['state']})")
-            payload["cancel"] = response
+
+def _client(args):
+    from ..service import ServiceClient
+
+    return ServiceClient(args.url or os.environ.get("HIDISC_SERVICE_URL")
+                         or "http://127.0.0.1:8203")
+
+
+@_service_client
+def _run_cancel(args, config, progress, cache, payload) -> int:
+    response = _client(args).cancel(args.job_id)
+    print(f"job {response['job_id']}: cancellation requested "
+          f"(state: {response['state']})")
+    payload["cancel"] = response
+    return 0
+
+
+@_service_client
+def _run_jobs(args, config, progress, cache, payload) -> int:
+    """'jobs': list every job, inspect one ('jobs ID [--follow]'), watch
+    the fleet ('jobs top') or stitch one job's trace ('jobs trace ID')."""
+    from ..service import run_top
+
+    if args.job == "trace":
+        return _run_jobs_trace(args, cache, payload)
+    client = _client(args)
+    if args.job == "top":
+        return run_top(client, interval=args.interval,
+                       iterations=args.iterations)
+    if args.job is None:
+        jobs = client.jobs()
+        payload["jobs"] = jobs
+        if not jobs:
+            print("no jobs")
             return 0
-        if args.command == "jobs":
-            if args.cache_action == "top":
-                return run_top(client, interval=args.interval,
-                               iterations=args.iterations)
-            if args.cache_action is None:
-                jobs = client.jobs()
-                payload["jobs"] = jobs
-                if not jobs:
-                    print("no jobs")
-                    return 0
-                for job in jobs:
-                    grid = (",".join(job["benchmarks"])
-                            if job.get("benchmarks") else "suite")
-                    state = job["state"] + (f"/{job['outcome']}"
-                                            if job.get("outcome") else "")
-                    print(f"{job['job_id']}  {state:22s} "
-                          f"attempts={job['attempts']} "
-                          f"cells={job['cells_done']}  {grid} "
-                          f"x {','.join(job.get('modes') or [])}"
-                          + ("  [quick]" if job.get("quick") else ""))
-                return 0
-            if args.follow:
-                for event in client.events(args.cache_action, follow=True):
-                    print(_event_line(event))
-            record = client.job(args.cache_action)
-            payload["job"] = record
-            print(json.dumps(record, indent=2, sort_keys=True))
-            return 0
-        # submit — send a trace context beside the spec so the stitched
-        # job trace gets a client lane; it never affects dedup.
-        trace = {"pid": os.getpid(), "span": f"{os.getpid():x}.submit",
-                 "t_ns": time.time_ns()}
-        response = client.submit(_submit_spec(args), trace=trace)
-        job_id = response["job_id"]
-        payload["submit"] = response
-        if response.get("created"):
-            print(f"job {job_id}: submitted")
-        else:
-            print(f"job {job_id}: joined an identical in-flight job "
-                  f"({response.get('submitted')} submissions share it)")
-        if not (args.follow or args.wait):
-            return 0
-        if args.follow:
-            for event in client.events(job_id, follow=True):
-                print(_event_line(event))
-            record = client.job(job_id)
-        else:
-            record = client.wait(job_id)
-        payload["job"] = record
-        state, job_outcome = record.get("state"), record.get("outcome")
-        print(f"job {job_id}: {state}"
-              + (f" ({job_outcome})" if job_outcome else ""))
-        if record.get("error"):
-            print(f"  error: {record['error']}", file=sys.stderr)
-        if state == "done":
-            payload["result"] = client.result(job_id)
-            return 0
-        return 1
-    except BackpressureError as exc:
-        print(f"hidisc {args.command}: {exc}", file=sys.stderr)
-        return 75  # EX_TEMPFAIL: retry after the backlog drains
-    except ServiceError as exc:
-        print(f"hidisc {args.command}: {exc}", file=sys.stderr)
-        return 2
+        for job in jobs:
+            grid = (",".join(job["benchmarks"])
+                    if job.get("benchmarks") else "suite")
+            state = job["state"] + (f"/{job['outcome']}"
+                                    if job.get("outcome") else "")
+            print(f"{job['job_id']}  {state:22s} "
+                  f"attempts={job['attempts']} "
+                  f"cells={job['cells_done']}  {grid} "
+                  f"x {','.join(job.get('modes') or [])}"
+                  + ("  [quick]" if job.get("quick") else ""))
+        return 0
+    if args.follow:
+        for event in client.events(args.job, follow=True):
+            print(_event_line(event))
+    record = client.job(args.job)
+    payload["job"] = record
+    print(json.dumps(record, indent=2, sort_keys=True))
+    return 0
+
+
+@_service_client
+def _run_submit(args, config, progress, cache, payload) -> int:
+    """'submit': queue a suite job, optionally following or awaiting it.
+
+    A trace context travels beside the spec so the stitched job trace
+    gets a client lane; it never affects dedup.
+    """
+    client = _client(args)
+    trace = {"pid": os.getpid(), "span": f"{os.getpid():x}.submit",
+             "t_ns": time.time_ns()}
+    response = client.submit(_submit_spec(args), trace=trace)
+    job_id = response["job_id"]
+    payload["submit"] = response
+    if response.get("created"):
+        print(f"job {job_id}: submitted")
+    else:
+        print(f"job {job_id}: joined an identical in-flight job "
+              f"({response.get('submitted')} submissions share it)")
+    if not (args.follow or args.wait):
+        return 0
+    if args.follow:
+        for event in client.events(job_id, follow=True):
+            print(_event_line(event))
+        record = client.job(job_id)
+    else:
+        record = client.wait(job_id)
+    payload["job"] = record
+    state, job_outcome = record.get("state"), record.get("outcome")
+    print(f"job {job_id}: {state}"
+          + (f" ({job_outcome})" if job_outcome else ""))
+    if record.get("error"):
+        print(f"  error: {record['error']}", file=sys.stderr)
+    if state == "done":
+        payload["result"] = client.result(job_id)
+        return 0
+    return 1
 
 
 def _stats_payload(result, telemetry: Telemetry) -> dict:
@@ -875,72 +1111,6 @@ def _stats_payload(result, telemetry: Telemetry) -> dict:
     }
 
 
-def _validate(parser: argparse.ArgumentParser, args) -> None:
-    if args.command == "cache":
-        if (args.cache_action is not None
-                and args.cache_action not in _CACHE_ACTIONS):
-            parser.error(f"unknown cache action {args.cache_action!r} "
-                         f"(expected {' or '.join(_CACHE_ACTIONS)})")
-        if args.diff_b is not None:
-            parser.error(f"unexpected argument {args.diff_b!r} after "
-                         f"'cache {args.cache_action}'")
-    elif args.command == "runs":
-        if (args.cache_action is not None
-                and args.cache_action not in _RUNS_ACTIONS):
-            parser.error(f"unknown runs action {args.cache_action!r} "
-                         f"(expected {', '.join(_RUNS_ACTIONS)})")
-        if args.diff_b is not None and (args.cache_action or "list") == "list":
-            parser.error(f"unexpected argument {args.diff_b!r} after "
-                         f"'runs list' (run ids select 'show'/'report')")
-    elif args.command == "diff":
-        if args.cache_action is None or args.diff_b is None:
-            parser.error("diff needs two payload paths: "
-                         "hidisc diff <payload_a> <payload_b>")
-    elif args.command == "jobs":
-        if args.cache_action == "trace":
-            if args.diff_b is None:
-                parser.error("jobs trace needs a job id: "
-                             "hidisc jobs trace <job_id>")
-        elif args.diff_b is not None:
-            parser.error(f"unexpected argument {args.diff_b!r} after "
-                         f"'jobs {args.cache_action}'")
-    elif args.command == "cancel":
-        if args.cache_action is None:
-            parser.error("cancel needs a job id: hidisc cancel <job_id>")
-        if args.diff_b is not None:
-            parser.error(f"unexpected argument {args.diff_b!r} after "
-                         f"'cancel {args.cache_action}'")
-    elif args.cache_action is not None:
-        parser.error(f"'{args.cache_action}' is only valid after 'cache', "
-                     f"'runs', 'jobs' or 'cancel'")
-    if args.command == "serve" and args.no_cache:
-        parser.error("the service spool lives in the run cache — "
-                     "'hidisc serve' cannot run with --no-cache")
-    if args.trace_format == "kanata" and args.command != "lifecycle":
-        parser.error("--format kanata is only valid for 'hidisc lifecycle'")
-    tuning = [f"--{attr.replace('_', '-')}" for attr, _ in _SAMPLE_TUNING
-              if getattr(args, attr) is not None]
-    if tuning and not args.sample:
-        noun = "makes" if len(tuning) == 1 else "make"
-        parser.error(f"{', '.join(tuning)} only {noun} sense together "
-                     f"with --sample")
-    if args.sample:
-        if args.command not in _SAMPLED_COMMANDS:
-            parser.error(f"--sample is not valid for '{args.command}' "
-                         f"(sampled runs work for "
-                         f"{', '.join(sorted(_SAMPLED_COMMANDS))}; "
-                         f"'trace'/'lifecycle'/'faults' need every cycle "
-                         f"simulated in detail)")
-        if args.verify:
-            parser.error("--sample and --verify are mutually exclusive: "
-                         "the co-simulation oracle needs the full commit "
-                         "stream")
-        try:
-            _sampling_plan(args)
-        except ConfigError as exc:
-            parser.error(f"invalid sampling plan: {exc}")
-
-
 def _finalize(args, argv, config: MachineConfig, cache: RunCache | None,
               tracer, run_id: str, outcome: str, code: int,
               elapsed: float, progress) -> None:
@@ -957,7 +1127,7 @@ def _finalize(args, argv, config: MachineConfig, cache: RunCache | None,
         if progress:
             progress(f"orchestration trace written to {args.orch_trace} "
                      f"({count} events) — open in https://ui.perfetto.dev")
-    if cache is None or args.command not in _LEDGER_COMMANDS:
+    if cache is None or not args.ledger:
         return
     record = build_record(
         run_id=run_id,
@@ -969,7 +1139,10 @@ def _finalize(args, argv, config: MachineConfig, cache: RunCache | None,
         config=config,
         metrics_snapshot=snapshot,
         spans_summary=span_summary,
-        extra={"quick": args.quick, "jobs": args.jobs},
+        # recorded for every command so that runs of commands without
+        # --quick/--jobs (fuzz, serve) compare with the rest
+        extra={"quick": getattr(args, "quick", False),
+               "jobs": getattr(args, "jobs", 1)},
     )
     RunLedger(ledger_path(cache.root)).append(record)
 
@@ -977,14 +1150,15 @@ def _finalize(args, argv, config: MachineConfig, cache: RunCache | None,
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _validate(parser, args)
+    _check_values(parser, args)
     config = MachineConfig()
-    if args.max_cycles is not None:
+    if getattr(args, "max_cycles", None) is not None:
         config = replace(config, max_cycles=args.max_cycles)
     progress = None if args.no_progress else (
         lambda msg: print(msg, file=sys.stderr, flush=True)
     )
-    cache = None if args.no_cache else RunCache(args.cache_dir)
+    cache = (None if getattr(args, "no_cache", False)
+             else RunCache(getattr(args, "cache_dir", None)))
 
     metrics.reset()
     tracer = spans.enable() if args.orch_trace else None
@@ -992,8 +1166,12 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     outcome, code = "ok", 0
     try:
-        with GracefulInterrupt(enabled=args.command in _INTERRUPTIBLE):
-            code = _dispatch(args, config, progress, cache)
+        with GracefulInterrupt(enabled=args.interruptible):
+            payload: dict = {}
+            code = args.handler(args, config, progress, cache, payload)
+            if args.json:
+                path = write_json(args.json, payload)
+                print(f"\nraw results written to {path}", file=sys.stderr)
         if code:
             outcome = f"exit:{code}"
         return code
@@ -1013,176 +1191,6 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         _finalize(args, argv, config, cache, tracer, run_id, outcome, code,
                   time.perf_counter() - start, progress)
-
-
-def _dispatch(args, config: MachineConfig, progress,
-              cache: RunCache | None) -> int:
-    payload: dict = {}
-    if args.command == "cache":
-        cache = RunCache(args.cache_dir)
-        if args.cache_action == "clear":
-            removed = cache.clear()
-            print(f"cache cleared: {removed} entries removed from "
-                  f"{cache.root}")
-            payload["cache"] = {"cleared": removed, "root": str(cache.root)}
-        else:
-            stats = cache.stats()
-            print(f"cache at {stats['root']}: {stats['entries']} entries, "
-                  f"{stats['total_bytes']} bytes; suite checkpoints: "
-                  f"{stats['suite_cells']} cells, "
-                  f"{stats['suite_bytes']} bytes; service spool: "
-                  f"{stats['service_files']} files, "
-                  f"{stats['service_bytes']} bytes")
-            payload["cache"] = stats
-
-    if args.command == "runs":
-        code = _run_runs(args, payload)
-        if args.json:
-            path = write_json(args.json, payload)
-            print(f"\nraw results written to {path}", file=sys.stderr)
-        return code
-
-    if args.command == "serve":
-        code = _run_serve(args, progress, payload)
-        if args.json:
-            path = write_json(args.json, payload)
-            print(f"\nraw results written to {path}", file=sys.stderr)
-        return code
-
-    if args.command == "jobs" and args.cache_action == "trace":
-        code = _run_jobs_trace(args, payload)
-        if args.json:
-            path = write_json(args.json, payload)
-            print(f"\nraw results written to {path}", file=sys.stderr)
-        return code
-
-    if args.command in ("submit", "jobs", "cancel"):
-        code = _run_service_client(args, payload)
-        if args.json:
-            path = write_json(args.json, payload)
-            print(f"\nraw results written to {path}", file=sys.stderr)
-        return code
-
-    if args.command == "table1":
-        print("Table 1: Simulation parameters")
-        print(table1(config))
-        payload["table1"] = [list(row) for row in config.describe()]
-
-    if args.command == "stats":
-        telemetry = Telemetry.from_config(
-            TelemetryConfig(cpi=True, sample_interval=args.occupancy_interval,
-                            heartbeat_interval=args.heartbeat)
-        )
-        result = _profile_single(args, config, progress, telemetry, cache)
-        print(render_run_stats(result))
-        payload["stats"] = _stats_payload(result, telemetry)
-
-    if args.command == "trace":
-        fmt = args.trace_format or "chrome"
-        out = args.out or "hidisc_trace.json"
-        telemetry = Telemetry.from_config(
-            TelemetryConfig(cpi=True, sample_interval=args.occupancy_interval,
-                            trace_format=fmt,
-                            heartbeat_interval=args.heartbeat),
-            trace_path=out,
-        )
-        result = _profile_single(args, config, progress, telemetry, cache)
-        telemetry.close()
-        print(render_run_stats(result))
-        count = getattr(telemetry.sink, "event_count", None)
-        suffix = f" ({count} events)" if count is not None else ""
-        hint = (" — open in https://ui.perfetto.dev or chrome://tracing"
-                if fmt == "chrome" else "")
-        print(f"\ntrace written to {out}{suffix}{hint}")
-        payload["trace"] = {"path": str(out),
-                            "format": fmt,
-                            "events": count}
-        payload["stats"] = _stats_payload(result, telemetry)
-
-    if args.command == "lifecycle":
-        code = _run_lifecycle(args, config, progress, cache, payload)
-        if args.json:
-            path = write_json(args.json, payload)
-            print(f"\nraw results written to {path}", file=sys.stderr)
-        return code
-
-    if args.command == "diff":
-        code = _run_diff(args, payload)
-        if args.json:
-            path = write_json(args.json, payload)
-            print(f"\nraw results written to {path}", file=sys.stderr)
-        return code
-
-    if args.command == "faults":
-        code = _run_faults(args, config, progress, cache, payload)
-        if args.json:
-            path = write_json(args.json, payload)
-            print(f"\nraw results written to {path}", file=sys.stderr)
-        return code
-
-    if args.command == "fuzz":
-        code = _run_fuzz(args, config, progress, payload)
-        if args.json:
-            path = write_json(args.json, payload)
-            print(f"\nraw results written to {path}", file=sys.stderr)
-        return code
-
-    if args.command == "bench":
-        code = _run_bench(args, payload)
-        if args.json:
-            path = write_json(args.json, payload)
-            print(f"\nraw results written to {path}", file=sys.stderr)
-        return code
-
-    if args.command in ("table2", "figure8", "figure9", "all", "suite"):
-        suite = run_suite(config, quick=args.quick, seed=args.seed,
-                          progress=progress, jobs=args.jobs, cache=cache,
-                          verify=args.verify, resume=args.resume,
-                          sampling=_sampling_plan(args))
-        payload["suite"] = suite.to_payload()
-        if args.command == "suite":
-            for bench in suite.benchmarks.values():
-                for result in bench.results.values():
-                    label = sampling_label(result)
-                    suffix = f"  [{label}]" if label != "full" else ""
-                    print(result.summary() + suffix)
-            print(f"\nsuite of {len(suite.benchmarks)} benchmarks in "
-                  f"{suite.elapsed_seconds:.1f}s "
-                  f"(mean HiDISC speedup "
-                  f"{suite.mean_speedup('hidisc'):.3f})")
-        if args.command in ("figure8", "all"):
-            print(figure8(suite).render())
-            print()
-        if args.command in ("table2", "all"):
-            print(table2(suite).render())
-            print()
-        if args.command in ("figure9", "all"):
-            print(figure9(suite).render())
-            print()
-        compiled = {name: bench.compiled
-                    for name, bench in suite.benchmarks.items()}
-    else:
-        compiled = None
-
-    if args.command in ("figure10", "all"):
-        fig10 = figure10(config, quick=args.quick, seed=args.seed,
-                         progress=progress, compiled=compiled,
-                         jobs=args.jobs, cache=cache,
-                         sampling=_sampling_plan(args))
-        payload["figure10"] = {
-            "latencies": list(fig10.latencies),
-            "ipc": fig10.ipc,
-        }
-        print(fig10.render())
-
-    if args.command == "all":
-        print("\nTable 1: Simulation parameters")
-        print(table1(config))
-
-    if args.json:
-        path = write_json(args.json, payload)
-        print(f"\nraw results written to {path}", file=sys.stderr)
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

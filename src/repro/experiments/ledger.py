@@ -20,10 +20,12 @@ ledger observes runs, it is never a correctness dependency.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import subprocess
+import tempfile
 import time
 from datetime import datetime, timezone
 from pathlib import Path
@@ -34,7 +36,6 @@ except ImportError:  # pragma: no cover
     fcntl = None
 
 from ..config import MachineConfig
-from .cache import config_fingerprint
 
 #: Ledger file name under the cache directory.
 LEDGER_FILENAME = "ledger.jsonl"
@@ -71,6 +72,30 @@ def locked_append(path: str | Path, line: str) -> bool:
     return True
 
 
+def atomic_write(path: str | Path, write, *, binary: bool) -> None:
+    """Replace *path* with what ``write(fh)`` writes, atomically.
+
+    *write* streams into a temp file in the destination directory
+    (created if missing), which ``os.replace`` then moves over *path*:
+    readers see the old file or the new one, never a torn one.  On any
+    exception the temp file is unlinked and the exception propagates —
+    best-effort callers catch ``OSError`` themselves.  There is no
+    fsync: a crash may lose the newest write, never leave half of it
+    under *path*.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=path.suffix + ".tmp")
+    try:
+        with os.fdopen(fd, "wb" if binary else "w") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def new_run_id() -> str:
     """Process-safe, time-sortable run identifier."""
     return f"{time.time_ns():x}-{os.getpid():x}"
@@ -99,6 +124,7 @@ def build_record(*, run_id: str, command: str, argv: list[str],
                  extra: dict | None = None) -> dict:
     """Assemble one ledger record (pure; :meth:`RunLedger.append` persists)."""
     from .. import __version__
+    from .cache import config_fingerprint  # cache imports atomic_write
 
     counters = metrics_snapshot.get("counters", {})
     cells = counters.get("cells_completed", 0) + \

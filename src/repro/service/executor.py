@@ -25,13 +25,12 @@ done record, which is re-created identically on retry.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import time
 
 from ..config import MachineConfig
 from ..errors import JobCancelled, ServiceError
 from ..experiments.cache import RunCache
+from ..experiments.ledger import atomic_write
 from ..experiments.suite import run_suite
 from ..telemetry import metrics
 from ..workloads import all_workloads, get_workload, quick_workloads
@@ -62,18 +61,8 @@ def _spec_workloads(spec: dict):
 def write_result(queue: JobQueue, job_id: str, payload: dict) -> str:
     """Atomically persist *payload* as the job's result; returns the path."""
     path = queue.result_path(job_id)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".json.tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    atomic_write(path, lambda fh: json.dump(payload, fh, sort_keys=True,
+                                            indent=1), binary=False)
     return str(path)
 
 

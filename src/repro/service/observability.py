@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from pathlib import Path
 
 from ..errors import ServiceError
+from ..experiments.ledger import atomic_write
 from ..telemetry import metrics
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.spans import SpanRecord
@@ -75,13 +75,10 @@ def publish_worker_status(queue: JobQueue, worker: str, state: str,
         "jobs_run": jobs_run,
         "metrics": metrics.combined_snapshot(),
     }
-    directory = queue.workers_dir()
     try:
-        directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".json.tmp")
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
-        os.replace(tmp, queue.status_path(worker))
+        atomic_write(queue.status_path(worker),
+                     lambda fh: json.dump(payload, fh, sort_keys=True),
+                     binary=False)
     except OSError:
         pass
 

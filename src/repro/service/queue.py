@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from pathlib import Path
 
@@ -52,7 +51,7 @@ except ImportError:  # pragma: no cover
 from ..config import MachineConfig
 from ..errors import BackpressureError, ConfigError, ServiceError
 from ..experiments.cache import SERVICE_DIR
-from ..experiments.ledger import locked_append
+from ..experiments.ledger import atomic_write, locked_append
 from ..telemetry import metrics
 from .records import (
     STATES,
@@ -160,19 +159,8 @@ class JobQueue:
         """Atomically (re)write *record* into *state*'s spool directory."""
         record.state = state
         record.touch()
-        directory = self.state_dir(state)
-        directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".json.tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(record.to_json())
-            os.replace(tmp, self.record_path(record.job_id, state))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(self.record_path(record.job_id, state),
+                     lambda fh: fh.write(record.to_json()), binary=False)
 
     def _read(self, path: Path) -> JobRecord | None:
         try:

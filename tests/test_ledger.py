@@ -16,6 +16,7 @@ from repro.config import MachineConfig
 from repro.experiments.cli import main
 from repro.experiments.ledger import (
     RunLedger,
+    atomic_write,
     build_record,
     ledger_path,
     locked_append,
@@ -152,6 +153,28 @@ class TestLockedAppend:
             counts.setdefault(event["tag"], set()).add(event["i"])
         assert counts == {f"p{n}": set(range(per_writer))
                           for n in range(writers)}
+
+
+class TestAtomicWrite:
+    def test_replaces_target_and_creates_directory(self, tmp_path):
+        path = tmp_path / "sub" / "entry.json"
+        atomic_write(path, lambda fh: fh.write("one"), binary=False)
+        atomic_write(path, lambda fh: fh.write(b"two"), binary=True)
+        assert path.read_text() == "two"
+        assert list(path.parent.iterdir()) == [path]
+
+    def test_failing_writer_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "entry.pkl"
+        path.write_bytes(b"old")
+
+        def failing(fh):
+            fh.write(b"partial")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write(path, failing, binary=True)
+        assert path.read_bytes() == b"old"
+        assert list(tmp_path.glob("*.tmp")) == []
 
 
 class TestRenders:

@@ -296,6 +296,20 @@ class TestWorkerStatus:
         queue.status_path("w0").write_text(json.dumps(stale))
         assert read_worker_statuses(queue)[0]["alive"] is False
 
+    def test_failed_publish_leaves_no_temp_file(self, tmp_path,
+                                                 monkeypatch):
+        import repro.service.observability as observability
+
+        def failing_dump(payload, fh, **kwargs):
+            fh.write('{"worker": ')
+            raise OSError("disk full")
+
+        queue = make_queue(tmp_path)
+        monkeypatch.setattr(observability.json, "dump", failing_dump)
+        publish_worker_status(queue, "w0", "idle")  # best-effort: no raise
+        monkeypatch.undo()
+        assert list(queue.workers_dir().iterdir()) == []
+
     def test_unparsable_status_files_are_skipped(self, tmp_path):
         queue = make_queue(tmp_path)
         queue.workers_dir().mkdir(parents=True, exist_ok=True)
